@@ -1,36 +1,33 @@
 //! Simulator-throughput harness: how many *simulated* instructions per
-//! host second each interpreter loop sustains.
+//! host second the interpreter loops sustain.
 //!
-//! Runs a fixed benchmark × engine matrix through the optimized
-//! [`ExecMode`] tiers (direct-threaded superblock dispatch and the
-//! predecoded micro-op loop) against the legacy per-instruction loop,
-//! asserts all paths produce byte-identical results (the unobservable
-//! contract), and writes one JSON report (see docs/PERFORMANCE.md for
-//! the schema). With `--check <baseline.json>` it exits non-zero if any
-//! *per-benchmark, per-tier* speedup regressed more than 20% against the
-//! checked-in baseline, naming the offending benchmark and tier — a
-//! host-independent ratio, so CI machines of any speed can gate on it.
-//! A baseline row whose tier is missing from the current run is itself a
-//! failure: a tier silently dropping out of the matrix must not pass.
+//! Runs a fixed benchmark × engine matrix through the direct-threaded
+//! superblock loop ([`ExecMode::Threaded`]) and the legacy
+//! per-instruction loop ([`ExecMode::Legacy`]), asserts both produce
+//! byte-identical results (the unobservable contract), and writes one
+//! JSON report (see docs/PERFORMANCE.md for the schema). With
+//! `--check <baseline.json>` it exits non-zero if any per-benchmark
+//! threaded-over-legacy speedup regressed more than 20% against the
+//! checked-in baseline, naming the offending row — a host-independent
+//! ratio, so CI machines of any speed can gate on it.
 //!
 //! Usage:
 //!
 //! ```text
-//! wasmperf-bench [--quick] [--filter SUBSTR] [--tier TIER]...
-//!                [--out BENCH_PR8.json] [--check BASELINE.json]
-//!                [--gate-threaded] [--sandbox]
+//! wasmperf-bench [--quick] [--filter SUBSTR] [--out OUT.json]
+//!                [--check BASELINE.json [--gate-threaded]] [--sandbox]
 //! ```
 //!
 //! `--filter SUBSTR` keeps only benchmarks whose name contains SUBSTR
-//! (applied after `--quick`'s matrix selection). `--tier` restricts the
-//! optimized tiers measured (`threaded`, `predecoded`; repeatable;
-//! default both — legacy is always measured as the denominator).
-//! `--gate-threaded` exits non-zero unless the threaded tier's geomean
-//! speedup is at least the predecoded tier's. `--sandbox` extends the
-//! engine matrix with the heap-protection ablations (`chrome+bounds`,
-//! `chrome+pku`, see docs/SANDBOX.md) so interpreter-throughput effects
-//! of the extra check instructions are measurable; baselines without
-//! those rows are unaffected (`--check` only reads baseline rows).
+//! (applied after `--quick`'s matrix selection). `--gate-threaded`
+//! exits non-zero unless the threaded geomean speedup is at least the
+//! geomean of the baseline's recorded `predecoded_speedup` over the rows
+//! this run measured (the retired predecoded loop's speedup, which
+//! `BENCH_PR8.json` records); a measured row without that field fails
+//! the gate. `--sandbox` extends the engine matrix with the
+//! heap-protection ablations (`chrome+bounds`, `chrome+pku`, see
+//! docs/SANDBOX.md) so interpreter-throughput effects of the extra check
+//! instructions are measurable; `--check` skips rows its baseline lacks.
 
 use std::time::Instant;
 
@@ -38,54 +35,22 @@ use wasmperf_benchsuite::{Benchmark, Size};
 use wasmperf_browsix::AppendPolicy;
 use wasmperf_cpu::ExecMode;
 use wasmperf_farm::Json;
-use wasmperf_harness::engine::{execute_with_mode, prepare, Engine, RunResult};
+use wasmperf_harness::engine::{execute_with_mode, prepare, Artifact, Engine, RunResult};
+use wasmperf_harness::DEFAULT_FUEL;
 use wasmperf_wasmjit::EngineProfile;
 
-/// An optimized interpreter tier, measured against [`ExecMode::Legacy`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Predecoded,
-    Threaded,
-}
-
-impl Tier {
-    const ALL: [Tier; 2] = [Tier::Predecoded, Tier::Threaded];
-
-    fn name(self) -> &'static str {
-        match self {
-            Tier::Predecoded => "predecoded",
-            Tier::Threaded => "threaded",
-        }
-    }
-
-    fn mode(self) -> ExecMode {
-        match self {
-            Tier::Predecoded => ExecMode::Predecoded,
-            Tier::Threaded => ExecMode::Threaded,
-        }
-    }
-
-    fn parse(s: &str) -> Option<Tier> {
-        Tier::ALL.into_iter().find(|t| t.name() == s)
-    }
-}
-
-/// One measured matrix cell: the legacy denominator plus one
-/// (simulated-MIPS, speedup-over-legacy) pair per measured tier.
+/// One measured matrix cell: simulated MIPS under each loop.
 struct Row {
     bench: String,
     engine: String,
     instructions: u64,
     legacy_mips: f64,
-    tiers: Vec<(Tier, f64, f64)>,
+    threaded_mips: f64,
 }
 
 impl Row {
-    fn speedup(&self, tier: Tier) -> Option<f64> {
-        self.tiers
-            .iter()
-            .find(|(t, _, _)| *t == tier)
-            .map(|&(_, _, s)| s)
+    fn speedup(&self) -> f64 {
+        self.threaded_mips / self.legacy_mips
     }
 }
 
@@ -128,7 +93,7 @@ fn engines(quick: bool, sandbox: bool) -> Vec<Engine> {
 fn measure(
     bench: &Benchmark,
     engine: &Engine,
-    artifact: &wasmperf_harness::engine::Artifact,
+    artifact: &Artifact,
     mode: ExecMode,
     reps: u32,
 ) -> (f64, RunResult) {
@@ -136,8 +101,15 @@ fn measure(
     let mut result = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let r = execute_with_mode(bench, engine, artifact, AppendPolicy::Chunked4K, mode)
-            .unwrap_or_else(|e| panic!("{}/{}: {e:?}", bench.name, engine.name()));
+        let r = execute_with_mode(
+            bench,
+            engine,
+            artifact,
+            AppendPolicy::Chunked4K,
+            mode,
+            DEFAULT_FUEL,
+        )
+        .unwrap_or_else(|e| panic!("{}/{}: {e:?}", bench.name, engine.name()));
         best = best.min(start.elapsed().as_secs_f64());
         result = Some(r);
     }
@@ -147,52 +119,29 @@ fn measure(
 }
 
 fn row_json(r: &Row) -> Json {
-    let mut fields = vec![
+    Json::Obj(vec![
         ("bench".into(), Json::Str(r.bench.clone())),
         ("engine".into(), Json::Str(r.engine.clone())),
         ("instructions".into(), Json::u64(r.instructions)),
         ("legacy_mips".into(), Json::Num(r.legacy_mips)),
-    ];
-    for &(tier, mips, speedup) in &r.tiers {
-        fields.push((format!("{}_mips", tier.name()), Json::Num(mips)));
-        fields.push((format!("{}_speedup", tier.name()), Json::Num(speedup)));
-    }
-    Json::Obj(fields)
+        ("threaded_mips".into(), Json::Num(r.threaded_mips)),
+        ("threaded_speedup".into(), Json::Num(r.speedup())),
+    ])
 }
 
-/// Per-(bench, engine, tier) speedups from a baseline report. Reads both
-/// the v2 schema (`<tier>_speedup` fields) and the v1 schema, whose bare
-/// `speedup` field meant predecoded-over-legacy.
-fn baseline_speedups(j: &Json) -> Vec<(String, String, &'static str, f64)> {
-    let mut out = Vec::new();
-    let Some(rows) = j.get("rows").and_then(Json::as_arr) else {
-        return out;
-    };
-    for r in rows {
-        let (Some(bench), Some(engine)) = (
-            r.get("bench").and_then(Json::as_str),
-            r.get("engine").and_then(Json::as_str),
-        ) else {
-            continue;
-        };
-        for tier in Tier::ALL {
-            if let Some(s) = r
-                .get(&format!("{}_speedup", tier.name()))
-                .and_then(Json::as_f64)
-            {
-                out.push((bench.to_string(), engine.to_string(), tier.name(), s));
-            }
-        }
-        if let Some(s) = r.get("speedup").and_then(Json::as_f64) {
-            out.push((
-                bench.to_string(),
-                engine.to_string(),
-                Tier::Predecoded.name(),
-                s,
-            ));
-        }
-    }
-    out
+/// `field` of the baseline row for `row`'s (bench, engine), if the
+/// baseline has that row and the row has that numeric field.
+fn baseline_field(baseline: &Json, row: &Row, field: &str) -> Option<f64> {
+    baseline
+        .get("rows")?
+        .as_arr()?
+        .iter()
+        .find(|b| {
+            b.get("bench").and_then(Json::as_str) == Some(&row.bench)
+                && b.get("engine").and_then(Json::as_str) == Some(&row.engine)
+        })?
+        .get(field)?
+        .as_f64()
 }
 
 fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
@@ -204,12 +153,60 @@ fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
     }
 }
 
+/// `--check`: every measured row the baseline also has must keep at
+/// least 80% of the baseline's threaded speedup. Returns the failures;
+/// a baseline sharing no row with this run is itself a failure.
+fn regressions(rows: &[Row], baseline: &Json) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut matched = 0usize;
+    for row in rows {
+        // The baseline may cover a different matrix (--quick, --sandbox).
+        let Some(base) = baseline_field(baseline, row, "threaded_speedup") else {
+            continue;
+        };
+        matched += 1;
+        let speedup = row.speedup();
+        if speedup < base * REGRESSION_TOLERANCE {
+            failures.push(format!(
+                "{}/{}: speedup {speedup:.2}x < {:.2}x (80% of baseline {base:.2}x)",
+                row.bench,
+                row.engine,
+                base * REGRESSION_TOLERANCE
+            ));
+        }
+    }
+    if matched == 0 {
+        failures.push(
+            "no baseline row with threaded_speedup matches this run — check is vacuous".into(),
+        );
+    }
+    failures
+}
+
+/// `--gate-threaded`'s floor: the geomean of the baseline's
+/// `predecoded_speedup` over exactly the rows this run measured, or the
+/// first measured row that lacks one.
+fn predecoded_floor(rows: &[Row], baseline: &Json) -> Result<f64, String> {
+    let mut floors = Vec::new();
+    for row in rows {
+        match baseline_field(baseline, row, "predecoded_speedup") {
+            Some(f) => floors.push(f),
+            None => {
+                return Err(format!(
+                    "{}/{}: baseline has no predecoded_speedup for this row",
+                    row.bench, row.engine
+                ))
+            }
+        }
+    }
+    Ok(geomean(floors.into_iter()))
+}
+
 fn main() {
     let mut out_path = "BENCH_PR8.json".to_string();
     let mut check_path: Option<String> = None;
     let mut quick = false;
     let mut filter: Option<String> = None;
-    let mut tiers: Vec<Tier> = Vec::new();
     let mut gate_threaded = false;
     let mut sandbox = false;
     let mut args = std::env::args().skip(1);
@@ -219,21 +216,14 @@ fn main() {
             "--check" => check_path = Some(args.next().expect("--check needs a path")),
             "--quick" => quick = true,
             "--filter" => filter = Some(args.next().expect("--filter needs a substring")),
-            "--tier" => {
-                let name = args.next().expect("--tier needs threaded|predecoded");
-                let tier = Tier::parse(&name)
-                    .unwrap_or_else(|| panic!("unknown tier {name:?} (threaded|predecoded)"));
-                if !tiers.contains(&tier) {
-                    tiers.push(tier);
-                }
-            }
             "--gate-threaded" => gate_threaded = true,
             "--sandbox" => sandbox = true,
             other => panic!("unknown argument {other:?}"),
         }
     }
-    if tiers.is_empty() {
-        tiers = Tier::ALL.to_vec();
+    if gate_threaded && check_path.is_none() {
+        eprintln!("--gate-threaded reads its floor from the --check baseline; pass --check");
+        std::process::exit(2);
     }
     let reps = if quick { 2 } else { 3 };
 
@@ -248,65 +238,45 @@ fn main() {
             let artifact = prepare(bench, engine)
                 .unwrap_or_else(|e| panic!("{}/{}: {e:?}", bench.name, engine.name()));
             let (legacy_mips, legacy) = measure(bench, engine, &artifact, ExecMode::Legacy, reps);
-            let mut row = Row {
+            let (threaded_mips, threaded) =
+                measure(bench, engine, &artifact, ExecMode::Threaded, reps);
+            // The threaded loop is an unobservable optimization:
+            // byte-identical results, counters, traps, and output files.
+            assert_eq!(
+                threaded,
+                legacy,
+                "{}/{}: threaded and legacy runs diverged",
+                bench.name,
+                engine.name()
+            );
+            let row = Row {
                 bench: bench.name.to_string(),
                 engine: engine.name(),
                 instructions: legacy.counters.instructions_retired,
                 legacy_mips,
-                tiers: Vec::new(),
+                threaded_mips,
             };
-            for &tier in &tiers {
-                let (mips, fast) = measure(bench, engine, &artifact, tier.mode(), reps);
-                // The whole point of having multiple tiers: byte-identical
-                // results, counters, traps, and output files.
-                assert_eq!(
-                    fast,
-                    legacy,
-                    "{}/{}: {} and legacy runs diverged",
-                    bench.name,
-                    engine.name(),
-                    tier.name()
-                );
-                row.tiers.push((tier, mips, mips / legacy_mips));
-            }
-            let per_tier: Vec<String> = row
-                .tiers
-                .iter()
-                .map(|&(t, m, s)| format!("{} {m:>7.1} ({s:.2}x)", t.name()))
-                .collect();
             eprintln!(
-                "{:>12} {:>10}  legacy {:>7.1} sim-MIPS | {}",
+                "{:>12} {:>10}  legacy {:>7.1} sim-MIPS | threaded {:>7.1} ({:.2}x)",
                 row.bench,
                 row.engine,
                 row.legacy_mips,
-                per_tier.join(" | ")
+                row.threaded_mips,
+                row.speedup()
             );
             rows.push(row);
         }
     }
 
-    let mut geomeans = Vec::new();
-    for &tier in &tiers {
-        let g = geomean(rows.iter().filter_map(|r| r.speedup(tier)));
-        eprintln!(
-            "geomean {} speedup: {g:.2}x over {} rows",
-            tier.name(),
-            rows.len()
-        );
-        geomeans.push((tier, g));
-    }
+    let g = geomean(rows.iter().map(Row::speedup));
+    eprintln!("geomean threaded speedup: {g:.2}x over {} rows", rows.len());
 
     let report = Json::Obj(vec![
-        ("schema".into(), Json::Str("wasmperf-bench/2".into())),
+        ("schema".into(), Json::Str("wasmperf-bench/3".into())),
         ("quick".into(), Json::Bool(quick)),
         (
             "geomeans".into(),
-            Json::Obj(
-                geomeans
-                    .iter()
-                    .map(|&(t, g)| (t.name().to_string(), Json::Num(g)))
-                    .collect(),
-            ),
+            Json::Obj(vec![("threaded".into(), Json::Num(g))]),
         ),
         (
             "rows".into(),
@@ -316,72 +286,74 @@ fn main() {
     std::fs::write(&out_path, report.render() + "\n").expect("write report");
     eprintln!("wrote {out_path}");
 
+    let Some(path) = check_path else {
+        return;
+    };
+    let text = std::fs::read_to_string(&path).expect("read baseline");
+    let baseline = Json::parse(&text).expect("parse baseline");
     if gate_threaded {
-        let t = geomeans.iter().find(|(t, _)| *t == Tier::Threaded);
-        let p = geomeans.iter().find(|(t, _)| *t == Tier::Predecoded);
-        match (t, p) {
-            (Some(&(_, tg)), Some(&(_, pg))) => {
-                if tg < pg {
-                    eprintln!(
-                        "--gate-threaded: threaded geomean {tg:.2}x < predecoded geomean {pg:.2}x"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!("--gate-threaded: threaded {tg:.2}x >= predecoded {pg:.2}x");
+        match predecoded_floor(&rows, &baseline) {
+            Ok(floor) if g >= floor => {
+                eprintln!("--gate-threaded: threaded {g:.2}x >= predecoded floor {floor:.3}x")
             }
-            _ => {
-                eprintln!("--gate-threaded needs both tiers measured (drop --tier, or pass both)");
+            Ok(floor) => {
+                eprintln!(
+                    "--gate-threaded: threaded geomean {g:.2}x < predecoded floor {floor:.3}x"
+                );
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("--gate-threaded: {e} (in {path})");
                 std::process::exit(1);
             }
         }
     }
+    let failures = regressions(&rows, &baseline);
+    if !failures.is_empty() {
+        eprintln!("throughput regression vs {path}:");
+        for f in &failures {
+            eprintln!("  {f}");
+        }
+        std::process::exit(1);
+    }
+    eprintln!("no regression vs {path}");
+}
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path).expect("read baseline");
-        let baseline = Json::parse(&text).expect("parse baseline");
-        let entries = baseline_speedups(&baseline);
-        if entries.is_empty() {
-            eprintln!("baseline {path} has no speedup rows — refusing to pass an empty check");
-            std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(bench: &str, engine: &str, speedup: f64) -> Row {
+        Row {
+            bench: bench.into(),
+            engine: engine.into(),
+            instructions: 1,
+            legacy_mips: 1.0,
+            threaded_mips: speedup,
         }
-        let mut failures = Vec::new();
-        let mut matched = 0usize;
-        for (bench, engine, tier, base) in entries {
-            let Some(row) = rows.iter().find(|r| r.bench == bench && r.engine == engine) else {
-                continue; // baseline may cover the full matrix; --quick runs a subset
-            };
-            matched += 1;
-            let Some(tier) = Tier::parse(tier) else {
-                unreachable!("baseline_speedups only emits known tier names");
-            };
-            let Some(speedup) = row.speedup(tier) else {
-                failures.push(format!(
-                    "{bench}/{engine} [{}]: tier in baseline but not measured in this run \
-                     (pass --tier {} or drop --tier)",
-                    tier.name(),
-                    tier.name()
-                ));
-                continue;
-            };
-            if speedup < base * REGRESSION_TOLERANCE {
-                failures.push(format!(
-                    "{bench}/{engine} [{}]: speedup {speedup:.2}x < {:.2}x (80% of baseline {base:.2}x)",
-                    tier.name(),
-                    base * REGRESSION_TOLERANCE
-                ));
-            }
-        }
-        if matched == 0 {
-            eprintln!("no baseline row in {path} matches this run's matrix — check is vacuous");
-            std::process::exit(1);
-        }
-        if !failures.is_empty() {
-            eprintln!("throughput regression vs {path}:");
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!("no regression vs {path} ({matched} rows checked)");
+    }
+
+    #[test]
+    fn gates_fail_closed_on_missing_baseline_fields() {
+        let baseline = Json::parse(
+            r#"{"rows":[
+                {"bench":"gemm","engine":"native","predecoded_speedup":2.5,"threaded_speedup":3.0},
+                {"bench":"gemm","engine":"chrome","threaded_speedup":3.0}]}"#,
+        )
+        .unwrap();
+        let native = row("gemm", "native", 2.9);
+        let floor = predecoded_floor(std::slice::from_ref(&native), &baseline).unwrap();
+        assert!((floor - 2.5).abs() < 1e-12, "{floor}");
+        // A measured row the baseline has no predecoded figure for fails
+        // the gate instead of dropping out of the floor.
+        let both = [native, row("gemm", "chrome", 3.0)];
+        assert!(predecoded_floor(&both, &baseline)
+            .unwrap_err()
+            .contains("gemm/chrome"));
+        assert!(regressions(&both, &baseline).is_empty());
+        // A 20%+ drop is a named regression; no shared row is vacuous.
+        let slow = [row("gemm", "native", 2.3)];
+        assert!(regressions(&slow, &baseline)[0].contains("gemm/native"));
+        assert!(regressions(&[row("lu", "native", 3.0)], &baseline)[0].contains("vacuous"));
     }
 }

@@ -42,6 +42,7 @@ pub use wasmperf_wasmjit as wasmjit;
 
 use wasmperf_browsix::{AppendPolicy, Kernel};
 use wasmperf_cpu::{Machine, PerfCounters};
+use wasmperf_harness::{Engine, DEFAULT_FUEL};
 use wasmperf_wasmjit::EngineProfile;
 
 /// The engines a [`Pipeline`] can target.
@@ -59,6 +60,19 @@ pub enum EngineKind {
     FirefoxAsmjs,
 }
 
+impl EngineKind {
+    /// The harness engine this kind names.
+    fn engine(self) -> Engine {
+        match self {
+            EngineKind::Native => Engine::Native,
+            EngineKind::Chrome => Engine::Jit(EngineProfile::chrome()),
+            EngineKind::Firefox => Engine::Jit(EngineProfile::firefox()),
+            EngineKind::ChromeAsmjs => Engine::Jit(EngineProfile::chrome_asmjs()),
+            EngineKind::FirefoxAsmjs => Engine::Jit(EngineProfile::firefox_asmjs()),
+        }
+    }
+}
+
 /// Outcome of one pipeline execution.
 #[derive(Debug, Clone)]
 pub struct Execution {
@@ -73,6 +87,11 @@ pub struct Execution {
 }
 
 /// A compiled CLite program ready to run on any engine.
+///
+/// Compilation goes through [`harness::compile`], the same code path the
+/// harness and the farm use. Execution keeps its own [`Machine`] rather
+/// than calling [`harness::execute`]: [`Execution::stdout`] needs the live
+/// kernel after the run, which a [`harness::RunResult`] does not carry.
 pub struct Pipeline {
     prog: wasmperf_cir::HProgram,
     /// Files staged into the kernel before each run.
@@ -102,21 +121,7 @@ impl Pipeline {
     /// Compiles for `engine` and executes `main` under a fresh Browsix
     /// kernel.
     pub fn run(&self, engine: EngineKind) -> Result<Execution, String> {
-        let module = match engine {
-            EngineKind::Native => wasmperf_clanglite::compile(&self.prog, &Default::default()),
-            _ => {
-                let profile = match engine {
-                    EngineKind::Chrome => EngineProfile::chrome(),
-                    EngineKind::Firefox => EngineProfile::firefox(),
-                    EngineKind::ChromeAsmjs => EngineProfile::chrome_asmjs(),
-                    EngineKind::FirefoxAsmjs => EngineProfile::firefox_asmjs(),
-                    EngineKind::Native => unreachable!(),
-                };
-                let wasm = wasmperf_emcc::compile(&self.prog);
-                wasmperf_wasm::validate(&wasm).map_err(|e| e.to_string())?;
-                wasmperf_wasmjit::compile(&wasm, &profile)?.module
-            }
-        };
+        let module = wasmperf_harness::compile(&self.prog, &engine.engine(), None)?.module;
         let mut kernel = Kernel::new(AppendPolicy::Chunked4K);
         for (path, data) in &self.input_files {
             kernel
@@ -127,7 +132,7 @@ impl Pipeline {
         let entry = module.entry.ok_or("program has no main")?;
         let mut machine = Machine::new(&module, kernel);
         let out = machine
-            .run(entry, &[], 20_000_000_000)
+            .run(entry, &[], DEFAULT_FUEL)
             .map_err(|e| e.to_string())?;
         let kernel = machine.into_host();
         Ok(Execution {

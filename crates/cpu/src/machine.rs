@@ -105,18 +105,16 @@ pub struct RunOutcome {
     pub counters: PerfCounters,
 }
 
-/// Which interpreter loop [`Machine::run`] drives. All paths produce
+/// Which interpreter loop [`Machine::run`] drives. Both loops produce
 /// byte-identical observables (results, traps, counters); the threaded
-/// superblock engine is the fastest and is the default. Profiled runs
-/// always take the legacy path so per-instruction attribution stays exact.
+/// superblock engine is the fast one and the default. Profiled runs
+/// always take the legacy loop so per-instruction attribution stays exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Direct-threaded function-pointer dispatch over superblocks with
-    /// batched fuel/cycle/fetch accounting (the default).
+    /// Direct-threaded function-pointer dispatch over superblocks built
+    /// from the [`Predecoded`] micro-op stream, with batched
+    /// fuel/cycle/fetch accounting (the default).
     Threaded,
-    /// Flat micro-op stream dispatched through a `match`, fuel charged per
-    /// basic block.
-    Predecoded,
     /// The original per-instruction interpreter, used as the differential
     /// reference and by the profiler.
     Legacy,
@@ -541,8 +539,8 @@ impl<'m, H: HostEnv> Machine<'m, H> {
     ///
     /// Dispatches to the threaded superblock engine unless profiling is
     /// enabled (always legacy, for exact attribution) or
-    /// [`Machine::set_exec_mode`] selected another tier; all paths produce
-    /// identical observables.
+    /// [`Machine::set_exec_mode`] selected [`ExecMode::Legacy`]; both loops
+    /// produce identical observables.
     pub fn run(&mut self, entry: FuncId, args: &[u64], fuel: u64) -> Result<RunOutcome, ExecError> {
         assert!(args.len() <= 6, "at most 6 register arguments");
         for (i, &a) in args.iter().enumerate() {
@@ -550,8 +548,6 @@ impl<'m, H: HostEnv> Machine<'m, H> {
         }
         if self.profile.is_some() || self.exec_mode == ExecMode::Legacy {
             self.run_legacy(entry, fuel)
-        } else if self.exec_mode == ExecMode::Predecoded {
-            self.run_predecoded(entry, fuel)
         } else {
             self.run_threaded(entry, fuel)
         }
@@ -560,7 +556,7 @@ impl<'m, H: HostEnv> Machine<'m, H> {
     /// The legacy per-instruction interpreter: re-derives lengths, classes,
     /// and costs from the [`Module`] each step and carries the profiler
     /// hooks, so `wasmperf-trace` attribution is exact. Kept as the
-    /// reference the predecoded engine is differentially tested against.
+    /// reference the threaded engine is differentially tested against.
     fn run_legacy(&mut self, entry: FuncId, fuel: u64) -> Result<RunOutcome, ExecError> {
         let mut func = entry.0;
         let mut pc: usize = 0;
@@ -829,285 +825,6 @@ impl<'m, H: HostEnv> Machine<'m, H> {
             }
             func = next_func;
             pc = next;
-        }
-    }
-
-    /// The predecoded block engine: drives the [`Predecoded`] micro-op
-    /// stream, charging fuel per basic block and using the baked-in
-    /// addresses, straddle flags, issue costs, and resolved branch targets.
-    /// It performs the same cache probes, counter updates, and
-    /// architectural effects in the same order as [`Machine::run_legacy`];
-    /// the differential tests hold the two byte-identical.
-    fn run_predecoded(&mut self, entry: FuncId, fuel: u64) -> Result<RunOutcome, ExecError> {
-        let pre = Arc::clone(&self.pre);
-        let icache_penalty = self.timing.icache_miss_penalty as u64;
-        let mispredict_penalty = self.timing.mispredict_penalty as u64;
-        let mut func = entry.0;
-        let mut pc: usize = 0;
-        let mut remaining = fuel;
-
-        'blocks: loop {
-            let fd = &pre.funcs[func as usize];
-            if pc >= fd.uops.len() {
-                return Err(self.err(TrapKind::Abort, func, pc, "fell off end of function"));
-            }
-            let blen = fd.block_len[pc] as u64;
-            debug_assert!(blen > 0, "control must enter blocks at their leader");
-            // The common case charges the whole block's fuel on entry; the
-            // tail of a run (fewer than `blen` units left) falls back to
-            // per-instruction checks so the out-of-fuel pc stays exact.
-            let batched = remaining >= blen;
-            if batched {
-                remaining -= blen;
-            }
-            let end = pc + blen as usize;
-            while pc < end {
-                if !batched {
-                    if remaining == 0 {
-                        return Err(self.err(TrapKind::OutOfFuel, func, pc, ""));
-                    }
-                    remaining -= 1;
-                }
-                let u = &fd.uops[pc];
-                if !self.icache.access(u.addr) {
-                    self.cycle_fp += icache_penalty;
-                }
-                if u.straddles && !self.icache.access(u.last_byte) {
-                    self.cycle_fp += icache_penalty;
-                }
-                self.counters.retire(1);
-                // Issue cost is absorbed by any outstanding miss shadow.
-                self.cycle_fp += absorb(&mut self.stall_credit_fp, u.cost as u64);
-
-                macro_rules! trap {
-                    ($k:expr, $d:expr) => {
-                        return Err(self.err($k, func, pc, $d))
-                    };
-                }
-                macro_rules! step {
-                    ($r:expr) => {
-                        if let Err((k, d)) = $r {
-                            trap!(k, d)
-                        }
-                    };
-                }
-
-                match &u.op {
-                    MOp::Mov { dst, src, width } => step!(self.exec_mov(dst, src, *width)),
-                    MOp::Movzx { dst, src, from } => step!(self.exec_movzx(*dst, src, *from)),
-                    MOp::Movsx { dst, src, from, to } => {
-                        step!(self.exec_movsx(*dst, src, *from, *to))
-                    }
-                    MOp::Lea { dst, mem, width } => self.exec_lea(*dst, mem, *width),
-                    MOp::Alu {
-                        op,
-                        dst,
-                        src,
-                        width,
-                    } => step!(self.exec_alu(*op, dst, src, *width)),
-                    MOp::Neg { dst, width } => step!(self.exec_neg(dst, *width)),
-                    MOp::Not { dst, width } => step!(self.exec_not(dst, *width)),
-                    MOp::Imul { dst, src, width } => step!(self.exec_imul(*dst, src, *width)),
-                    MOp::Imul3 {
-                        dst,
-                        src,
-                        imm,
-                        width,
-                    } => step!(self.exec_imul3(*dst, src, *imm, *width)),
-                    MOp::Cqo { width } => self.exec_cqo(*width),
-                    MOp::Div { src, signed, width } => step!(self.exec_div(src, *signed, *width)),
-                    MOp::Cmp { lhs, rhs, width } => step!(self.exec_cmp(lhs, rhs, *width)),
-                    MOp::Test { lhs, rhs, width } => step!(self.exec_test(lhs, rhs, *width)),
-                    MOp::Cmov {
-                        cc,
-                        dst,
-                        src,
-                        width,
-                    } => step!(self.exec_cmov(*cc, *dst, src, *width)),
-                    MOp::Setcc { cc, dst } => self.exec_setcc(*cc, *dst),
-                    MOp::Lzcnt { dst, src, width } => step!(self.exec_lzcnt(*dst, src, *width)),
-                    MOp::Tzcnt { dst, src, width } => step!(self.exec_tzcnt(*dst, src, *width)),
-                    MOp::Popcnt { dst, src, width } => step!(self.exec_popcnt(*dst, src, *width)),
-                    MOp::Jmp { target } => {
-                        self.counters.branches_retired += 1;
-                        pc = *target as usize;
-                        continue 'blocks;
-                    }
-                    MOp::Jcc { cc, target } => {
-                        self.counters.branches_retired += 1;
-                        self.counters.cond_branches_retired += 1;
-                        let taken = self.cond(*cc);
-                        if self.predictor.predict_and_update(u.addr, taken) {
-                            self.cycle_fp += mispredict_penalty;
-                        }
-                        if taken {
-                            pc = *target as usize;
-                            continue 'blocks;
-                        }
-                        // Not taken: a Jcc ends its block, so `pc + 1 ==
-                        // end` and the outer loop re-enters at the
-                        // fall-through leader.
-                    }
-                    MOp::Call { target } => {
-                        self.counters.branches_retired += 1;
-                        if self.call_stack.len() >= self.max_call_depth {
-                            trap!(TrapKind::StackOverflow, "call depth");
-                        }
-                        if target.0 as usize >= self.module.funcs.len() {
-                            trap!(TrapKind::Abort, "call to unknown function");
-                        }
-                        let ret_pc = pc + 1;
-                        step!(self.push_val_raw(RET_TOKEN | ret_pc as u64));
-                        self.call_stack.push(Frame {
-                            func,
-                            ret_pc: ret_pc as u32,
-                            rsp_at_call: self.regs[Reg::Rsp.index()],
-                        });
-                        func = target.0;
-                        pc = 0;
-                        continue 'blocks;
-                    }
-                    MOp::CallIndirect { target } => {
-                        self.counters.branches_retired += 1;
-                        let v = match self.read_op(target, Width::W64) {
-                            Ok(v) => v,
-                            Err(k) => trap!(k, "call-indirect operand"),
-                        };
-                        if v as usize >= self.module.funcs.len() {
-                            trap!(
-                                TrapKind::IndirectCallOutOfBounds,
-                                format!("bad function id {v:#x}")
-                            );
-                        }
-                        if self.call_stack.len() >= self.max_call_depth {
-                            trap!(TrapKind::StackOverflow, "call depth");
-                        }
-                        let ret_pc = pc + 1;
-                        step!(self.push_val_raw(RET_TOKEN | ret_pc as u64));
-                        self.call_stack.push(Frame {
-                            func,
-                            ret_pc: ret_pc as u32,
-                            rsp_at_call: self.regs[Reg::Rsp.index()],
-                        });
-                        func = v as u32;
-                        pc = 0;
-                        continue 'blocks;
-                    }
-                    MOp::CallHost { id } => {
-                        self.counters.branches_retired += 1;
-                        self.counters.host_calls += 1;
-                        self.cycle_fp += self.pku_fp;
-                        let args = [
-                            self.regs[Reg::Rdi.index()],
-                            self.regs[Reg::Rsi.index()],
-                            self.regs[Reg::Rdx.index()],
-                            self.regs[Reg::Rcx.index()],
-                            self.regs[Reg::R8.index()],
-                            self.regs[Reg::R9.index()],
-                        ];
-                        match self.host.call(*id, &args, &mut self.mem) {
-                            Ok(HostOutcome::Ret {
-                                value,
-                                kernel_cycles,
-                            }) => {
-                                self.regs[Reg::Rax.index()] = value;
-                                self.counters.host_cycles += kernel_cycles;
-                            }
-                            Ok(HostOutcome::Exit {
-                                code,
-                                kernel_cycles,
-                            }) => {
-                                self.counters.host_cycles += kernel_cycles;
-                                return Ok(RunOutcome {
-                                    ret: self.regs[Reg::Rax.index()],
-                                    exit_code: Some(code),
-                                    counters: self.counters(),
-                                });
-                            }
-                            Err(k) => trap!(k, format!("host call {id}")),
-                        }
-                    }
-                    MOp::Push { src } => {
-                        let v = match self.read_op(src, Width::W64) {
-                            Ok(v) => v,
-                            Err(k) => trap!(k, "push src"),
-                        };
-                        step!(self.push_val_raw(v));
-                    }
-                    MOp::Pop { dst } => step!(self.exec_pop(*dst)),
-                    MOp::Ret => {
-                        self.counters.branches_retired += 1;
-                        let rsp = self.regs[Reg::Rsp.index()];
-                        if let Err(k) = self.dread(rsp, Width::W64) {
-                            trap!(k, "ret pop");
-                        }
-                        self.regs[Reg::Rsp.index()] = rsp + 8;
-                        match self.call_stack.pop() {
-                            Some(frame) => {
-                                if frame.rsp_at_call != rsp {
-                                    trap!(
-                                        TrapKind::Abort,
-                                        format!(
-                                            "rsp mismatch on ret: {:#x} != {:#x}",
-                                            rsp, frame.rsp_at_call
-                                        )
-                                    );
-                                }
-                                func = frame.func;
-                                pc = frame.ret_pc as usize;
-                                continue 'blocks;
-                            }
-                            None => {
-                                return Ok(RunOutcome {
-                                    ret: self.regs[Reg::Rax.index()],
-                                    exit_code: None,
-                                    counters: self.counters(),
-                                });
-                            }
-                        }
-                    }
-                    MOp::MovF { dst, src, prec } => step!(self.exec_movf(dst, src, *prec)),
-                    MOp::AluF { op, dst, src, prec } => {
-                        step!(self.exec_aluf(*op, *dst, src, *prec))
-                    }
-                    MOp::RoundF {
-                        dst,
-                        src,
-                        prec,
-                        mode,
-                    } => step!(self.exec_roundf(*dst, src, *prec, *mode)),
-                    MOp::AbsF { dst, src, prec } => step!(self.exec_absf(*dst, src, *prec)),
-                    MOp::SqrtF { dst, src, prec } => step!(self.exec_sqrtf(*dst, src, *prec)),
-                    MOp::Ucomis { lhs, rhs, prec } => step!(self.exec_ucomis(*lhs, rhs, *prec)),
-                    MOp::CvtIntToF {
-                        dst,
-                        src,
-                        width,
-                        prec,
-                        unsigned,
-                    } => step!(self.exec_cvt_int_to_f(*dst, src, *width, *prec, *unsigned)),
-                    MOp::CvtFToInt {
-                        dst,
-                        src,
-                        width,
-                        prec,
-                        unsigned,
-                    } => step!(self.exec_cvt_f_to_int(*dst, src, *width, *prec, *unsigned)),
-                    MOp::CvtFToF { dst, src, from } => {
-                        step!(self.exec_cvt_f_to_f(*dst, src, *from))
-                    }
-                    MOp::MovGprToXmm { dst, src, width } => {
-                        self.exec_mov_gpr_to_xmm(*dst, *src, *width)
-                    }
-                    MOp::MovXmmToGpr { dst, src, width } => {
-                        self.exec_mov_xmm_to_gpr(*dst, *src, *width)
-                    }
-                    MOp::Trap { kind } => trap!(*kind, "explicit trap"),
-                    MOp::Nop => {}
-                }
-                pc += 1;
-            }
-            // Fell through the block's end: `pc == end` is the next leader.
         }
     }
 
@@ -3334,32 +3051,37 @@ mod tests {
         (res, machine.counters())
     }
 
+    /// Runs `m` under the legacy reference and the threaded engine,
+    /// requires identical observables, and returns the legacy outcome.
+    fn observe_both(
+        m: &Module,
+        args: &[u64],
+        fuel: u64,
+    ) -> (Result<(u64, Option<i32>), ExecError>, PerfCounters) {
+        let legacy = observe_mode(m, ExecMode::Legacy, args, fuel);
+        assert_eq!(
+            observe_mode(m, ExecMode::Threaded, args, fuel),
+            legacy,
+            "fuel {fuel}"
+        );
+        legacy
+    }
+
     #[test]
     fn all_exec_modes_agree_exactly() {
         let m = call_loop_module();
-        let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[100], 1_000_000);
-        assert_eq!(leg_res.as_ref().expect("runs").0, 5050);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[100], 1_000_000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
+        let (res, _) = observe_both(&m, &[100], 1_000_000);
+        assert_eq!(res.expect("runs").0, 5050);
     }
 
     #[test]
     fn out_of_fuel_location_and_counters_match_across_modes() {
-        // Fuel runs out mid-block (predecoded) or mid-superblock
-        // (threaded); the trap must still name the exact instruction the
-        // legacy path reports.
+        // Fuel runs out mid-superblock in the threaded engine; the trap
+        // must still name the exact instruction the legacy path reports.
         let m = call_loop_module();
         for fuel in [0, 1, 7, 100, 1234] {
-            let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[u64::MAX], fuel);
-            assert_eq!(leg_res.as_ref().unwrap_err().kind, TrapKind::OutOfFuel);
-            for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-                let (res, ctr) = observe_mode(&m, mode, &[u64::MAX], fuel);
-                assert_eq!(res, leg_res, "{mode:?} fuel {fuel}");
-                assert_eq!(ctr, leg_ctr, "{mode:?} fuel {fuel}");
-            }
+            let (res, _) = observe_both(&m, &[u64::MAX], fuel);
+            assert_eq!(res.unwrap_err().kind, TrapKind::OutOfFuel);
         }
     }
 
@@ -3413,8 +3135,8 @@ mod tests {
         // Regression test for fuel/trap accounting at superblock seams:
         // exhaust fuel at *every* offset of a run whose hot loop is one
         // merged superblock with a taken side exit, and require the exact
-        // legacy trap location and counters from every tier. This fails if
-        // a batched tier forgets to roll back the unexecuted superblock
+        // legacy trap location and counters from the threaded tier. This
+        // fails if it forgets to roll back the unexecuted superblock
         // tail on side exits (fuel consumed would outrun instructions
         // retired, reporting out-of-fuel early and at the wrong pc).
         for m in [superblock_loop_module(), call_loop_module()] {
@@ -3424,7 +3146,7 @@ mod tests {
             assert!(full_res.is_ok());
             assert!(total > 12, "sweep must cross a superblock boundary");
             for fuel in 0..=total {
-                let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, args, fuel);
+                let (leg_res, leg_ctr) = observe_both(&m, args, fuel);
                 if fuel < total {
                     let err = leg_res.as_ref().unwrap_err();
                     assert_eq!(err.kind, TrapKind::OutOfFuel);
@@ -3433,11 +3155,6 @@ mod tests {
                     assert_eq!(leg_ctr.instructions_retired, fuel);
                 } else {
                     assert_eq!(leg_res, full_res);
-                }
-                for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-                    let (res, ctr) = observe_mode(&m, mode, args, fuel);
-                    assert_eq!(res, leg_res, "{mode:?} fuel {fuel}");
-                    assert_eq!(ctr, leg_ctr, "{mode:?} fuel {fuel}");
                 }
             }
         }
@@ -3462,15 +3179,10 @@ mod tests {
         b.emit(Inst::Ret);
         b.bind(end);
         let m = module_of(vec![b.finish()]);
-        let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[0], 1000);
+        let (leg_res, _) = observe_both(&m, &[0], 1000);
         let err = leg_res.as_ref().unwrap_err();
         assert_eq!(err.kind, TrapKind::Abort);
         assert_eq!(err.pc, 3);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[0], 1000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
     }
 
     #[test]
@@ -3498,28 +3210,18 @@ mod tests {
         });
         b.emit(Inst::Ret);
         let m = module_of(vec![b.finish()]);
-        let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[], 1000);
+        let (leg_res, _) = observe_both(&m, &[], 1000);
         let err = leg_res.as_ref().unwrap_err();
         assert_eq!(err.kind, TrapKind::Unreachable);
         assert_eq!(err.pc, 3);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[], 1000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
     }
 
     #[test]
     fn every_variant_agrees_across_modes() {
         // The predecode tests build a module with one of every
-        // instruction; run it under all three modes and require identical
+        // instruction; run it under both modes and require identical
         // observables, whatever they are.
         let m = crate::predecode::tests::every_variant_module();
-        let (leg_res, leg_ctr) = observe_mode(&m, ExecMode::Legacy, &[1, 2], 100_000);
-        for mode in [ExecMode::Predecoded, ExecMode::Threaded] {
-            let (res, ctr) = observe_mode(&m, mode, &[1, 2], 100_000);
-            assert_eq!(res, leg_res, "{mode:?}");
-            assert_eq!(ctr, leg_ctr, "{mode:?}");
-        }
+        let _ = observe_both(&m, &[1, 2], 100_000);
     }
 }

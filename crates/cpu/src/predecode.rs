@@ -9,16 +9,17 @@
 //! flat stream of [`UOp`]s.
 //!
 //! The stream is additionally partitioned into basic blocks
-//! ([`FuncPre::block_len`]) so the hot loop can charge fuel per block edge
-//! instead of per instruction. Block boundaries fall after every
+//! ([`FuncPre::block_len`]). Block boundaries fall after every
 //! control-transfer instruction ([`Inst::ends_block`]) and before every
-//! branch target, so control only ever enters a block at its leader.
+//! branch target, so control only ever enters a block at its leader;
+//! [`crate::threaded`] merges these blocks into the superblocks the fast
+//! loop dispatches over.
 //!
 //! Predecoding is a *representation* change, not a semantics change: the
-//! executor driven by this stream performs the same cache probes, counter
-//! updates, and architectural effects in the same order as the legacy
-//! per-instruction path. `machine.rs` keeps both loops and the differential
-//! tests hold them byte-identical.
+//! threaded executor built on this stream performs the same cache probes,
+//! counter updates, and architectural effects in the same order as the
+//! legacy per-instruction path. `machine.rs` keeps both loops and the
+//! differential tests hold them byte-identical.
 
 use crate::timing::TimingModel;
 use wasmperf_isa::inst::FOperand;

@@ -1,8 +1,8 @@
 //! Superblock formation over the predecoded micro-op stream.
 //!
-//! The predecoded engine (PR 4) dispatches one micro-op at a time through a
-//! `match` and charges fuel per *basic block*. This module builds the next
-//! tier's program representation: basic blocks are merged into
+//! [`Predecoded`] lowers each function once into flat micro-ops split into
+//! basic blocks. This module builds the threaded engine's program
+//! representation from that stream: basic blocks are merged into
 //! **superblocks** — single-entry, multiple-exit chains of blocks joined
 //! across conditional fall-through edges and single-entry unconditional
 //! jumps — and each superblock is flattened into a contiguous run of

@@ -5,12 +5,21 @@
 //! content-addressed artifact cache can share one compiled [`Artifact`]
 //! across every trial, append policy, and experiment that needs it:
 //!
-//! - [`prepare`] compiles a benchmark for an engine (cir → clanglite, or
-//!   cir → emcc → wasmjit) and returns the artifact;
+//! - [`prepare`] compiles a benchmark for an engine (the cir frontend,
+//!   then [`compile`]: clanglite, or emcc → wasmjit) and returns the
+//!   artifact;
 //! - [`execute`] stages inputs into a fresh Browsix kernel and runs an
 //!   artifact, producing a [`RunResult`];
 //! - [`run_one`] / [`run_one_traced`] glue the two together for callers
 //!   that don't cache.
+//!
+//! Every execution entry point — plain, fuel-bounded, pinned to an
+//! [`ExecMode`], recorded, or traced — is a few lines over one private
+//! function that builds the [`Machine`], runs it, maps traps to
+//! [`Error`]s, and assembles the [`RunResult`]. The entry points differ
+//! only in the host they hand it (a live Browsix kernel, a recorder, or a
+//! replay kernel), the interpreter loop, the fuel budget, and what
+//! tracing collects.
 
 use wasmperf_benchsuite::{Benchmark, Size};
 use wasmperf_browsix::{AppendPolicy, Kernel, KernelStats};
@@ -220,58 +229,58 @@ pub fn prepare_traced(
         bench: bench.name.to_string(),
         message,
     };
-
-    let prog = match spans.as_mut() {
-        Some(log) => log.scope("compile", "cir/frontend", || {
-            wasmperf_cir::compile(&bench.source)
-        }),
-        None => wasmperf_cir::compile(&bench.source),
-    }
+    let prog = in_span(spans.as_deref_mut(), "cir/frontend", || {
+        wasmperf_cir::compile(&bench.source)
+    })
     .map_err(compile_err)?;
+    let artifact = compile(&prog, engine, spans).map_err(compile_err)?;
+    Ok((artifact, prog))
+}
 
-    let artifact = match engine {
-        Engine::Native | Engine::NativeWith(_) => {
-            let default_opts;
-            let opts = match engine {
-                Engine::NativeWith(o) => o,
-                _ => {
-                    default_opts = CompileOptions::default();
-                    &default_opts
-                }
-            };
-            let module = wasmperf_clanglite::compile_traced(&prog, opts, spans.as_deref_mut());
-            let compile_cycles = NATIVE_COMPILE_CYCLES_PER_BYTE * module.code_bytes();
-            Artifact {
-                module,
-                func_texts: Vec::new(),
-                compile_cycles,
-            }
-        }
+/// Compiles a typed program for `engine`: clanglite for the native
+/// engines, emcc → validate → wasmjit for the JIT profiles. The error is
+/// the failing stage's message.
+pub fn compile(
+    prog: &HProgram,
+    engine: &Engine,
+    mut spans: Option<&mut SpanLog>,
+) -> Result<Artifact, String> {
+    let opts = match engine {
+        Engine::Native => CompileOptions::default(),
+        Engine::NativeWith(opts) => opts.clone(),
         Engine::Jit(profile) => {
             // The wasm module ships to the browser; only JIT cost counts
             // (the paper measures Chrome's compile time, not
             // Emscripten's).
-            let wasm = match spans.as_mut() {
-                Some(log) => log.scope("compile", "emcc/compile", || wasmperf_emcc::compile(&prog)),
-                None => wasmperf_emcc::compile(&prog),
-            };
-            wasmperf_wasm::validate(&wasm).map_err(|e| compile_err(format!("{e:?}")))?;
-            let out = match spans.as_mut() {
-                Some(log) => log.scope("compile", "wasmjit/compile", || {
-                    wasmperf_wasmjit::compile(&wasm, profile)
-                }),
-                None => wasmperf_wasmjit::compile(&wasm, profile),
-            }
-            .map_err(compile_err)?;
-            let compile_cycles = JIT_COMPILE_CYCLES_PER_BYTE * out.module.code_bytes();
-            Artifact {
+            let wasm = in_span(spans.as_deref_mut(), "emcc/compile", || {
+                wasmperf_emcc::compile(prog)
+            });
+            wasmperf_wasm::validate(&wasm).map_err(|e| format!("{e:?}"))?;
+            let out = in_span(spans, "wasmjit/compile", || {
+                wasmperf_wasmjit::compile(&wasm, profile)
+            })?;
+            return Ok(Artifact {
+                compile_cycles: JIT_COMPILE_CYCLES_PER_BYTE * out.module.code_bytes(),
                 module: out.module,
                 func_texts: out.func_texts,
-                compile_cycles,
-            }
+            });
         }
     };
-    Ok((artifact, prog))
+    let module = wasmperf_clanglite::compile_traced(prog, &opts, spans);
+    Ok(Artifact {
+        compile_cycles: NATIVE_COMPILE_CYCLES_PER_BYTE * module.code_bytes(),
+        module,
+        func_texts: Vec::new(),
+    })
+}
+
+/// Runs `f` inside a `compile` span named `name` when a span log is
+/// attached, else just runs it.
+fn in_span<T>(spans: Option<&mut SpanLog>, name: &str, f: impl FnOnce() -> T) -> T {
+    match spans {
+        Some(log) => log.scope("compile", name, f),
+        None => f(),
+    }
 }
 
 /// Runs a compiled artifact: stages inputs into a fresh Browsix kernel,
@@ -282,43 +291,7 @@ pub fn execute(
     artifact: &Artifact,
     policy: AppendPolicy,
 ) -> Result<RunResult, Error> {
-    execute_traced(
-        bench,
-        engine,
-        artifact,
-        None,
-        policy,
-        TraceConfig::off(),
-        None,
-    )
-    .map(|(r, _)| r)
-}
-
-/// [`execute`] pinned to a specific interpreter loop. `wasmperf-bench`
-/// uses this to time the threaded and predecoded engines against the
-/// legacy reference on identical workloads; results must match byte for
-/// byte.
-pub fn execute_with_mode(
-    bench: &Benchmark,
-    engine: &Engine,
-    artifact: &Artifact,
-    policy: AppendPolicy,
-    mode: ExecMode,
-) -> Result<RunResult, Error> {
-    execute_inner(bench, engine, artifact, policy, mode, DEFAULT_FUEL)
-}
-
-/// [`execute_with_mode`] with an explicit fuel budget, for differential
-/// tests that exercise out-of-fuel traps under every interpreter loop.
-pub fn execute_with_mode_and_fuel(
-    bench: &Benchmark,
-    engine: &Engine,
-    artifact: &Artifact,
-    policy: AppendPolicy,
-    mode: ExecMode,
-    fuel: u64,
-) -> Result<RunResult, Error> {
-    execute_inner(bench, engine, artifact, policy, mode, fuel)
+    execute_with_fuel(bench, engine, artifact, policy, DEFAULT_FUEL)
 }
 
 /// [`execute`] with an explicit fuel budget. A run that exhausts `fuel`
@@ -331,126 +304,14 @@ pub fn execute_with_fuel(
     policy: AppendPolicy,
     fuel: u64,
 ) -> Result<RunResult, Error> {
-    execute_inner(bench, engine, artifact, policy, ExecMode::Threaded, fuel)
+    execute_with_mode(bench, engine, artifact, policy, ExecMode::Threaded, fuel)
 }
 
-/// The host behind one execution: a live Browsix kernel, or a replay
-/// kernel answering syscalls from a recording ([`Suite::Replay`]
-/// benchmarks).
-///
-/// [`Suite::Replay`]: wasmperf_benchsuite::Suite::Replay
-enum RunHost {
-    Live(Box<Kernel>),
-    Replay(ReplayKernel),
-}
-
-impl RunHost {
-    /// Builds the host for `bench`: a replay kernel when the benchmark
-    /// carries a recording, else a fresh kernel with inputs staged.
-    fn for_bench(
-        bench: &Benchmark,
-        policy: AppendPolicy,
-        strace: bool,
-        exec_err: &impl Fn(String) -> Error,
-    ) -> Result<RunHost, Error> {
-        if let Some(rec) = &bench.replay {
-            let mut k = ReplayKernel::new(rec.clone());
-            if strace {
-                k.strace = Some(StraceLog::default());
-            }
-            return Ok(RunHost::Replay(k));
-        }
-        let mut kernel = Kernel::new(policy);
-        if strace {
-            kernel.strace = Some(StraceLog::default());
-        }
-        for (path, data) in &bench.inputs {
-            kernel
-                .fs
-                .write_all(path, data)
-                .map_err(|e| exec_err(format!("staging {path}: {e:?}")))?;
-        }
-        Ok(RunHost::Live(Box::new(kernel)))
-    }
-
-    fn stats(&self) -> &KernelStats {
-        match self {
-            RunHost::Live(k) => &k.stats,
-            RunHost::Replay(k) => &k.stats,
-        }
-    }
-
-    fn take_strace(&mut self) -> Option<StraceLog> {
-        match self {
-            RunHost::Live(k) => k.strace.take(),
-            RunHost::Replay(k) => k.strace.take(),
-        }
-    }
-
-    /// Post-run validation and output collection. A replay host must have
-    /// consumed its recording exactly and reproduced the recorded
-    /// checksum; a live host yields the benchmark's declared output
-    /// files.
-    fn finish(
-        &self,
-        bench: &Benchmark,
-        checksum: i32,
-        exec_err: &impl Fn(String) -> Error,
-    ) -> Result<Vec<(String, Vec<u8>)>, Error> {
-        match self {
-            RunHost::Replay(k) => {
-                k.finish().map_err(|e| exec_err(e.to_string()))?;
-                let rec = bench
-                    .replay
-                    .as_ref()
-                    .expect("replay host without recording");
-                if checksum != rec.checksum {
-                    return Err(exec_err(format!(
-                        "replay checksum {checksum} != recorded {}",
-                        rec.checksum
-                    )));
-                }
-                Ok(Vec::new())
-            }
-            RunHost::Live(kernel) => {
-                let mut outputs = Vec::new();
-                for path in &bench.outputs {
-                    let data = kernel
-                        .fs
-                        .read_all(path)
-                        .map_err(|e| exec_err(format!("output {path}: {e:?}")))?;
-                    outputs.push((path.clone(), data));
-                }
-                Ok(outputs)
-            }
-        }
-    }
-
-    /// The divergence message, if this is a replay host that strayed
-    /// from its recording (the cause behind an `Abort` trap).
-    fn divergence(&self) -> Option<&str> {
-        match self {
-            RunHost::Live(_) => None,
-            RunHost::Replay(k) => k.divergence(),
-        }
-    }
-}
-
-impl HostEnv for RunHost {
-    fn call(
-        &mut self,
-        id: u32,
-        args: &[u64; 6],
-        mem: &mut Memory,
-    ) -> Result<HostOutcome, TrapKind> {
-        match self {
-            RunHost::Live(k) => k.call(id, args, mem),
-            RunHost::Replay(k) => k.call(id, args, mem),
-        }
-    }
-}
-
-fn execute_inner(
+/// [`execute_with_fuel`] pinned to a specific interpreter loop.
+/// `wasmperf-bench` times the threaded loop against the legacy reference
+/// on identical workloads, and the differential tests compare the two;
+/// results, traps, and out-of-fuel errors must match byte for byte.
+pub fn execute_with_mode(
     bench: &Benchmark,
     engine: &Engine,
     artifact: &Artifact,
@@ -458,48 +319,8 @@ fn execute_inner(
     mode: ExecMode,
     fuel: u64,
 ) -> Result<RunResult, Error> {
-    let exec_err = |message: String| Error::Exec {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        message,
-    };
-
-    let module = &artifact.module;
-    let host = RunHost::for_bench(bench, policy, false, &exec_err)?;
-
-    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
-    let mut machine = Machine::new(module, host);
-    machine.set_exec_mode(mode);
-    let run = machine.run(entry, &[], fuel);
-    let host = machine.into_host();
-    let out = run.map_err(|e| {
-        if e.kind == TrapKind::OutOfFuel {
-            Error::OutOfFuel {
-                bench: bench.name.to_string(),
-                engine: engine.name(),
-                fuel,
-            }
-        } else if let Some(msg) = host.divergence() {
-            exec_err(format!("replay divergence: {msg}"))
-        } else {
-            exec_err(format!("{e:?}"))
-        }
-    })?;
-
-    let checksum = out.ret as u32 as i32;
-    let outputs = host.finish(bench, checksum, &exec_err)?;
-
-    Ok(RunResult {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        checksum,
-        counters: out.counters,
-        kernel_syscalls: host.stats().syscalls,
-        kernel_bytes: host.stats().bytes_marshalled,
-        outputs,
-        compile_cycles: artifact.compile_cycles,
-        code_bytes: module.code_bytes(),
-    })
+    let host = RunHost::for_bench(bench, policy, false);
+    run(bench, engine, artifact, host, mode, fuel, Trace::off()).map(|(r, ..)| r)
 }
 
 /// Runs `bench` natively while recording its complete nondeterminism
@@ -514,49 +335,18 @@ pub fn execute_recorded(
     size: Size,
 ) -> Result<(RunResult, Recording), Error> {
     let engine = Engine::Native;
-    let exec_err = |message: String| Error::Exec {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        message,
-    };
-
-    let module = &artifact.module;
-    let mut recorder = Recorder::new(policy);
-    for (path, data) in &bench.inputs {
-        recorder
-            .kernel
-            .fs
-            .write_all(path, data)
-            .map_err(|e| exec_err(format!("staging {path}: {e:?}")))?;
-    }
-
-    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
-    let mut machine = Machine::new(module, recorder);
-    let out = machine
-        .run(entry, &[], DEFAULT_FUEL)
-        .map_err(|e| exec_err(format!("{e:?}")))?;
-    let recorder = machine.into_host();
-
-    let mut outputs = Vec::new();
-    for path in &bench.outputs {
-        let data = recorder
-            .kernel
-            .fs
-            .read_all(path)
-            .map_err(|e| exec_err(format!("output {path}: {e:?}")))?;
-        outputs.push((path.clone(), data));
-    }
-
-    let result = RunResult {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        checksum: out.ret as u32 as i32,
-        counters: out.counters,
-        kernel_syscalls: recorder.kernel.stats.syscalls,
-        kernel_bytes: recorder.kernel.stats.bytes_marshalled,
-        outputs,
-        compile_cycles: artifact.compile_cycles,
-        code_bytes: module.code_bytes(),
+    let host = RunHost::Record(Box::new(Recorder::new(policy)));
+    let (result, host, _) = run(
+        bench,
+        &engine,
+        artifact,
+        host,
+        ExecMode::Threaded,
+        DEFAULT_FUEL,
+        Trace::off(),
+    )?;
+    let RunHost::Record(recorder) = host else {
+        unreachable!("run returns the host it was given")
     };
     let recording = recorder
         .into_recording(
@@ -566,98 +356,12 @@ pub fn execute_recorded(
             bench.inputs.clone(),
             result.checksum,
         )
-        .map_err(|e| exec_err(e.to_string()))?;
+        .map_err(|e| Error::Exec {
+            bench: bench.name.to_string(),
+            engine: engine.name(),
+            message: e.to_string(),
+        })?;
     Ok((result, recording))
-}
-
-/// [`execute`] with observability; `prog` is required only when
-/// `config.profile` asks for source-line symbolization.
-pub fn execute_traced(
-    bench: &Benchmark,
-    engine: &Engine,
-    artifact: &Artifact,
-    prog: Option<&HProgram>,
-    policy: AppendPolicy,
-    config: TraceConfig,
-    mut spans: Option<SpanLog>,
-) -> Result<(RunResult, Option<TraceSession>), Error> {
-    let exec_err = |message: String| Error::Exec {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        message,
-    };
-
-    let module = &artifact.module;
-    let symbols = if config.profile {
-        let mut s = SymbolMap::from_module(module);
-        if let Some(prog) = prog {
-            s.attach_source(&wasmperf_clanglite::source_table(prog));
-        }
-        if !artifact.func_texts.is_empty() {
-            s.attach_wasm_texts(module, &artifact.func_texts);
-        }
-        Some(s)
-    } else {
-        None
-    };
-
-    let host = RunHost::for_bench(bench, policy, config.strace, &exec_err)?;
-
-    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
-    let mut machine = Machine::new(module, host);
-    if config.profile {
-        machine.enable_profile();
-    }
-    let open = spans.as_ref().map(SpanLog::enter);
-    let run = machine.run(entry, &[], DEFAULT_FUEL);
-    if let (Some(log), Some(open)) = (spans.as_mut(), open) {
-        log.exit(open, "exec", "run");
-    }
-    let profile = machine.take_profile();
-
-    let mut host = machine.into_host();
-    let out = run.map_err(|e| match host.divergence() {
-        Some(msg) => exec_err(format!("replay divergence: {msg}")),
-        None => exec_err(format!("{e:?}")),
-    })?;
-    let checksum = out.ret as u32 as i32;
-    let outputs = host.finish(bench, checksum, &exec_err)?;
-
-    let result = RunResult {
-        bench: bench.name.to_string(),
-        engine: engine.name(),
-        checksum,
-        counters: out.counters,
-        kernel_syscalls: host.stats().syscalls,
-        kernel_bytes: host.stats().bytes_marshalled,
-        outputs,
-        compile_cycles: artifact.compile_cycles,
-        code_bytes: module.code_bytes(),
-    };
-
-    let trace = if config.is_off() {
-        None
-    } else {
-        let mut t = TraceSession::new(&result.bench, &result.engine);
-        t.spans = spans.map(|l| l.spans).unwrap_or_default();
-        t.strace = host.take_strace();
-        t.profile = profile;
-        t.symbols = symbols;
-        let c = &result.counters;
-        t.totals = vec![
-            ("instructions_retired", c.instructions_retired),
-            ("cycles", c.cycles),
-            ("icache_misses", c.icache_misses),
-            ("dcache_misses", c.dcache_misses),
-            ("branch_mispredicts", c.branch_mispredicts),
-            ("host_calls", c.host_calls),
-            ("host_cycles", c.host_cycles),
-            ("total_cycles", c.total_cycles()),
-        ];
-        Some(t)
-    };
-
-    Ok((result, trace))
 }
 
 /// Compiles and runs `bench` on `engine`, with inputs staged in a fresh
@@ -685,13 +389,271 @@ pub fn run_one_traced(
     policy: AppendPolicy,
     config: TraceConfig,
 ) -> Result<(RunResult, Option<TraceSession>), Error> {
-    let mut spans = if config.spans {
-        Some(SpanLog::new())
-    } else {
-        None
-    };
+    let mut spans = config.spans.then(SpanLog::new);
     let (artifact, prog) = prepare_traced(bench, engine, spans.as_mut())?;
-    execute_traced(bench, engine, &artifact, Some(&prog), policy, config, spans)
+    let host = RunHost::for_bench(bench, policy, config.strace);
+    let trace = Trace {
+        config,
+        prog: Some(&prog),
+        spans,
+    };
+    run(
+        bench,
+        engine,
+        &artifact,
+        host,
+        ExecMode::Threaded,
+        DEFAULT_FUEL,
+        trace,
+    )
+    .map(|(r, _, t)| (r, t))
+}
+
+/// What one run observes beyond its [`RunResult`]. [`Trace::off`]
+/// collects nothing and allocates nothing.
+struct Trace<'a> {
+    config: TraceConfig,
+    /// The source program, for source-line symbolization of a profile.
+    prog: Option<&'a HProgram>,
+    /// The span log compile stages were recorded into; execution appends
+    /// its `exec/run` span.
+    spans: Option<SpanLog>,
+}
+
+impl Trace<'_> {
+    fn off() -> Trace<'static> {
+        Trace {
+            config: TraceConfig::off(),
+            prog: None,
+            spans: None,
+        }
+    }
+}
+
+/// The one execution path: stages `bench`'s inputs into `host`, runs
+/// `artifact` from its entry under `mode` with `fuel`, maps traps to
+/// [`Error`]s, validates the host's end state, and assembles the
+/// [`RunResult`]. Returns the host (a recorder's capture lives there) and,
+/// when `trace` asks for anything, the [`TraceSession`].
+fn run(
+    bench: &Benchmark,
+    engine: &Engine,
+    artifact: &Artifact,
+    mut host: RunHost,
+    mode: ExecMode,
+    fuel: u64,
+    trace: Trace<'_>,
+) -> Result<(RunResult, RunHost, Option<TraceSession>), Error> {
+    let exec_err = |message: String| Error::Exec {
+        bench: bench.name.to_string(),
+        engine: engine.name(),
+        message,
+    };
+    if let Some(kernel) = host.kernel_mut() {
+        for (path, data) in &bench.inputs {
+            kernel
+                .fs
+                .write_all(path, data)
+                .map_err(|e| exec_err(format!("staging {path}: {e:?}")))?;
+        }
+    }
+
+    let module = &artifact.module;
+    let entry = module.entry.ok_or_else(|| exec_err("no main".into()))?;
+    let Trace {
+        config,
+        prog,
+        mut spans,
+    } = trace;
+    let mut machine = Machine::new(module, host);
+    machine.set_exec_mode(mode);
+    if config.profile {
+        machine.enable_profile();
+    }
+    let open = spans.as_ref().map(SpanLog::enter);
+    let out = machine.run(entry, &[], fuel);
+    if let (Some(log), Some(open)) = (spans.as_mut(), open) {
+        log.exit(open, "exec", "run");
+    }
+    let profile = machine.take_profile();
+    let mut host = machine.into_host();
+
+    let out = out.map_err(|e| {
+        if e.kind == TrapKind::OutOfFuel {
+            Error::OutOfFuel {
+                bench: bench.name.to_string(),
+                engine: engine.name(),
+                fuel,
+            }
+        } else if let Some(msg) = host.divergence() {
+            exec_err(format!("replay divergence: {msg}"))
+        } else {
+            exec_err(format!("{e:?}"))
+        }
+    })?;
+    let checksum = out.ret as u32 as i32;
+    let outputs = host.finish(bench, checksum).map_err(exec_err)?;
+    let result = RunResult {
+        bench: bench.name.to_string(),
+        engine: engine.name(),
+        checksum,
+        counters: out.counters,
+        kernel_syscalls: host.stats().syscalls,
+        kernel_bytes: host.stats().bytes_marshalled,
+        outputs,
+        compile_cycles: artifact.compile_cycles,
+        code_bytes: module.code_bytes(),
+    };
+
+    let session = if config.is_off() {
+        None
+    } else {
+        let mut t = TraceSession::new(&result.bench, &result.engine);
+        t.spans = spans.map(|l| l.spans).unwrap_or_default();
+        t.strace = host.take_strace();
+        t.profile = profile;
+        if config.profile {
+            let mut symbols = SymbolMap::from_module(module);
+            if let Some(prog) = prog {
+                symbols.attach_source(&wasmperf_clanglite::source_table(prog));
+            }
+            if !artifact.func_texts.is_empty() {
+                symbols.attach_wasm_texts(module, &artifact.func_texts);
+            }
+            t.symbols = Some(symbols);
+        }
+        let c = &result.counters;
+        t.totals = vec![
+            ("instructions_retired", c.instructions_retired),
+            ("cycles", c.cycles),
+            ("icache_misses", c.icache_misses),
+            ("dcache_misses", c.dcache_misses),
+            ("branch_mispredicts", c.branch_mispredicts),
+            ("host_calls", c.host_calls),
+            ("host_cycles", c.host_cycles),
+            ("total_cycles", c.total_cycles()),
+        ];
+        Some(t)
+    };
+    Ok((result, host, session))
+}
+
+/// The host behind one execution: a live Browsix kernel, a recorder
+/// wrapping one ([`execute_recorded`]), or a replay kernel answering
+/// syscalls from a recording ([`Suite::Replay`] benchmarks).
+///
+/// [`Suite::Replay`]: wasmperf_benchsuite::Suite::Replay
+enum RunHost {
+    Live(Box<Kernel>),
+    Record(Box<Recorder>),
+    Replay(ReplayKernel),
+}
+
+impl RunHost {
+    /// The host for `bench`: a replay kernel when the benchmark carries a
+    /// recording, else a fresh kernel (inputs are staged by [`run`]).
+    fn for_bench(bench: &Benchmark, policy: AppendPolicy, strace: bool) -> RunHost {
+        let strace = strace.then(StraceLog::default);
+        match &bench.replay {
+            Some(rec) => {
+                let mut k = ReplayKernel::new(rec.clone());
+                k.strace = strace;
+                RunHost::Replay(k)
+            }
+            None => {
+                let mut k = Kernel::new(policy);
+                k.strace = strace;
+                RunHost::Live(Box::new(k))
+            }
+        }
+    }
+
+    /// The live kernel behind a live or recording host.
+    fn kernel_mut(&mut self) -> Option<&mut Kernel> {
+        match self {
+            RunHost::Live(k) => Some(k),
+            RunHost::Record(r) => Some(&mut r.kernel),
+            RunHost::Replay(_) => None,
+        }
+    }
+
+    fn stats(&self) -> &KernelStats {
+        match self {
+            RunHost::Live(k) => &k.stats,
+            RunHost::Record(r) => &r.kernel.stats,
+            RunHost::Replay(k) => &k.stats,
+        }
+    }
+
+    /// The syscall trace, if one was asked for. A recorder's strace log
+    /// is its capture, so it stays with the recorder.
+    fn take_strace(&mut self) -> Option<StraceLog> {
+        match self {
+            RunHost::Live(k) => k.strace.take(),
+            RunHost::Record(_) => None,
+            RunHost::Replay(k) => k.strace.take(),
+        }
+    }
+
+    /// Post-run validation and output collection. A replay host must have
+    /// consumed its recording exactly and reproduced the recorded
+    /// checksum; a live host yields the benchmark's declared output
+    /// files.
+    fn finish(&self, bench: &Benchmark, checksum: i32) -> Result<Vec<(String, Vec<u8>)>, String> {
+        let kernel = match self {
+            RunHost::Live(k) => k,
+            RunHost::Record(r) => &r.kernel,
+            RunHost::Replay(k) => {
+                k.finish().map_err(|e| e.to_string())?;
+                let rec = bench
+                    .replay
+                    .as_ref()
+                    .expect("replay host without recording");
+                if checksum != rec.checksum {
+                    return Err(format!(
+                        "replay checksum {checksum} != recorded {}",
+                        rec.checksum
+                    ));
+                }
+                return Ok(Vec::new());
+            }
+        };
+        bench
+            .outputs
+            .iter()
+            .map(|path| {
+                kernel
+                    .fs
+                    .read_all(path)
+                    .map(|data| (path.clone(), data))
+                    .map_err(|e| format!("output {path}: {e:?}"))
+            })
+            .collect()
+    }
+
+    /// The divergence message, if this is a replay host that strayed
+    /// from its recording (the cause behind an `Abort` trap).
+    fn divergence(&self) -> Option<&str> {
+        match self {
+            RunHost::Replay(k) => k.divergence(),
+            _ => None,
+        }
+    }
+}
+
+impl HostEnv for RunHost {
+    fn call(
+        &mut self,
+        id: u32,
+        args: &[u64; 6],
+        mem: &mut Memory,
+    ) -> Result<HostOutcome, TrapKind> {
+        match self {
+            RunHost::Live(k) => k.call(id, args, mem),
+            RunHost::Record(r) => r.call(id, args, mem),
+            RunHost::Replay(k) => k.call(id, args, mem),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -35,8 +35,8 @@ pub mod session;
 pub mod stats;
 
 pub use engine::{
-    execute, execute_recorded, execute_with_fuel, execute_with_mode, execute_with_mode_and_fuel,
-    prepare, run_one, run_one_traced, Artifact, Engine, RunResult, DEFAULT_FUEL,
+    compile, execute, execute_recorded, execute_with_fuel, execute_with_mode, prepare, run_one,
+    run_one_traced, Artifact, Engine, RunResult, DEFAULT_FUEL,
 };
 pub use error::Error;
 pub use session::{FarmStats, Session};

@@ -1,12 +1,12 @@
-//! Differential equivalence of the three interpreter loops.
+//! Differential equivalence of the two interpreter loops.
 //!
-//! The predecoded micro-op engine ([`ExecMode::Predecoded`]) and the
-//! direct-threaded superblock engine ([`ExecMode::Threaded`]) must both
-//! be unobservable optimizations: every result, trap location, counter,
-//! and output byte must match the legacy per-instruction interpreter
+//! The direct-threaded superblock engine ([`ExecMode::Threaded`], built
+//! over the predecoded micro-op stream) must be an unobservable
+//! optimization: every result, trap location, counter, and output byte
+//! must match the legacy per-instruction interpreter
 //! ([`ExecMode::Legacy`]) exactly. These tests replay the entire
 //! regression corpus, a report-style benchmark × engine matrix, and the
-//! checked-in replay recordings through all three loops and compare
+//! checked-in replay recordings through both loops and compare
 //! everything — including trap and out-of-fuel outcomes, where the
 //! threaded tier's batched fuel accounting must roll back to the exact
 //! per-instruction trap location.
@@ -16,18 +16,13 @@ use wasmperf_benchsuite::{Benchmark, Size};
 use wasmperf_browsix::AppendPolicy;
 use wasmperf_cpu::machine::ExecError;
 use wasmperf_cpu::{ExecMode, Machine, NullHost, PerfCounters};
-use wasmperf_harness::engine::{
-    execute_with_mode, execute_with_mode_and_fuel, run_one_traced, Engine,
-};
-use wasmperf_harness::{prepare, TraceConfig};
+use wasmperf_harness::engine::{execute_with_mode, run_one_traced, Artifact, Engine};
+use wasmperf_harness::{prepare, Error, RunResult, TraceConfig, DEFAULT_FUEL};
 use wasmperf_isa::Module;
 use wasmperf_wasmjit::EngineProfile;
 
 /// Same bound the difftest fuzzer uses for machine pipelines.
 const FUEL: u64 = 50_000_000;
-
-/// The two optimized loops, each checked against [`ExecMode::Legacy`].
-const FAST_MODES: [ExecMode; 2] = [ExecMode::Predecoded, ExecMode::Threaded];
 
 /// Everything observable about a hostless run: the outcome (or the full
 /// trap, location and detail included) plus the final counters.
@@ -46,15 +41,35 @@ fn observe(module: &Module, mode: ExecMode) -> Observation {
 
 fn assert_modes_agree(module: &Module, what: &str) {
     let slow = observe(module, ExecMode::Legacy);
-    for mode in FAST_MODES {
-        let fast = observe(module, mode);
-        assert_eq!(fast, slow, "{what}: {mode:?} and legacy runs diverged");
-    }
+    let fast = observe(module, ExecMode::Threaded);
+    assert_eq!(fast, slow, "{what}: threaded and legacy runs diverged");
+}
+
+/// Runs `artifact` through the harness under both loops with `fuel`,
+/// requires byte-identical outcomes (errors included), and returns the
+/// legacy one.
+fn harness_modes_agree(
+    bench: &Benchmark,
+    engine: &Engine,
+    artifact: &Artifact,
+    fuel: u64,
+) -> Result<RunResult, Error> {
+    let run =
+        |mode| execute_with_mode(bench, engine, artifact, AppendPolicy::Chunked4K, mode, fuel);
+    let slow = run(ExecMode::Legacy);
+    assert_eq!(
+        run(ExecMode::Threaded),
+        slow,
+        "{}/{}/fuel={fuel}: threaded diverged from legacy",
+        bench.name,
+        engine.name()
+    );
+    slow
 }
 
 /// Replays every corpus case — each a shrunk program that once exposed a
 /// real semantics divergence, several of which trap by design — through
-/// all four machine-code pipelines, under all three interpreter loops.
+/// all four machine-code pipelines, under both interpreter loops.
 #[test]
 fn corpus_replays_identically_under_all_loops() {
     let mut cases = 0;
@@ -90,7 +105,7 @@ fn corpus_replays_identically_under_all_loops() {
 /// A report-style sweep: real benchmarks (compute-bound kernels and
 /// I/O-heavy SPEC analogs) on the paper's engine set, comparing the
 /// full [`wasmperf_harness::RunResult`] — checksum, every counter,
-/// syscall count, and output file bytes — across all three loops.
+/// syscall count, and output file bytes — across both loops.
 #[test]
 fn report_matrix_is_byte_identical_across_loops() {
     let want = ["gemm", "durbin", "401.bzip2", "464.h264ref"];
@@ -102,27 +117,14 @@ fn report_matrix_is_byte_identical_across_loops() {
     for bench in &benches {
         for engine in Engine::headline() {
             let artifact = prepare(bench, &engine).expect("compiles");
-            let run = |mode| {
-                execute_with_mode(bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-                    .expect("runs")
-            };
-            let slow = run(ExecMode::Legacy);
-            for mode in FAST_MODES {
-                assert_eq!(
-                    run(mode),
-                    slow,
-                    "{}/{}: {mode:?} diverged from legacy",
-                    bench.name,
-                    engine.name()
-                );
-            }
+            harness_modes_agree(bench, &engine, &artifact, DEFAULT_FUEL).expect("runs");
         }
     }
 }
 
 /// Every checked-in replay recording — compute-bound (`gemm`), I/O-bound
 /// (`io.rwmix`), and mixed (`401.bzip2`) — replays byte-identically under
-/// all three loops, on the native pipeline and a wasm JIT. The replay
+/// both loops, on the native pipeline and a wasm JIT. The replay
 /// kernel answers syscalls from the recording, so this exercises the
 /// threaded tier's host-call side exits against recorded workloads.
 #[test]
@@ -137,27 +139,14 @@ fn recordings_replay_identically_across_loops() {
         let bench = wasmperf_benchsuite::replay::from_recording(Arc::new(rec));
         for engine in [Engine::Native, Engine::Jit(EngineProfile::chrome())] {
             let artifact = prepare(&bench, &engine).expect("compiles");
-            let run = |mode| {
-                execute_with_mode(&bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-                    .expect("replays")
-            };
-            let slow = run(ExecMode::Legacy);
-            for mode in FAST_MODES {
-                assert_eq!(
-                    run(mode),
-                    slow,
-                    "{}/{}: {mode:?} diverged from legacy",
-                    bench.name,
-                    engine.name()
-                );
-            }
+            harness_modes_agree(&bench, &engine, &artifact, DEFAULT_FUEL).expect("replays");
         }
     }
 }
 
 /// A torn recording traps mid-run with a replay-divergence error; the
 /// error (benchmark, engine, and message, including the trap location)
-/// must be identical under all three loops.
+/// must be identical under both loops.
 #[test]
 fn truncated_recording_traps_identically_across_loops() {
     let recs = wasmperf_replay::load_dir(std::path::Path::new("recordings")).expect("corpus");
@@ -169,23 +158,17 @@ fn truncated_recording_traps_identically_across_loops() {
     let bench = wasmperf_benchsuite::replay::from_recording(Arc::new(rec));
     let engine = Engine::Native;
     let artifact = prepare(&bench, &engine).expect("compiles");
-    let run = |mode| {
-        execute_with_mode(&bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-            .expect_err("truncated recording must not replay cleanly")
-    };
-    let slow = run(ExecMode::Legacy);
-    let msg = slow.to_string();
+    let msg = harness_modes_agree(&bench, &engine, &artifact, DEFAULT_FUEL)
+        .expect_err("truncated recording must not replay cleanly")
+        .to_string();
     assert!(
         msg.contains("replay") || msg.contains("divergence"),
         "unhelpful truncation error: {msg}"
     );
-    for mode in FAST_MODES {
-        assert_eq!(run(mode), slow, "{mode:?} truncation trap diverged");
-    }
 }
 
 /// Out-of-fuel runs through the full harness: at several budgets — some
-/// tiny, some mid-run — every loop reports the identical
+/// tiny, some mid-run — both loops report the identical
 /// [`wasmperf_harness::Error::OutOfFuel`]. The threaded tier batches fuel
 /// per superblock, so this pins its side-exit rollback at harness level.
 #[test]
@@ -196,43 +179,19 @@ fn out_of_fuel_is_identical_across_loops() {
         .expect("known benchmark");
     for engine in [Engine::Native, Engine::Jit(EngineProfile::chrome())] {
         let artifact = prepare(&bench, &engine).expect("compiles");
-        let full = execute_with_mode(
-            &bench,
-            &engine,
-            &artifact,
-            AppendPolicy::Chunked4K,
-            ExecMode::Legacy,
-        )
-        .expect("runs");
+        let full = harness_modes_agree(&bench, &engine, &artifact, DEFAULT_FUEL).expect("runs");
         let total = full.counters.instructions_retired;
         for fuel in [1, 97, total / 2, total - 1] {
-            let run = |mode| {
-                execute_with_mode_and_fuel(
-                    &bench,
-                    &engine,
-                    &artifact,
-                    AppendPolicy::Chunked4K,
-                    mode,
-                    fuel,
-                )
-                .expect_err("budget chosen below the benchmark's run length")
-            };
-            let slow = run(ExecMode::Legacy);
-            for mode in FAST_MODES {
-                assert_eq!(
-                    run(mode),
-                    slow,
-                    "{}/fuel={fuel}: {mode:?} out-of-fuel diverged",
-                    engine.name()
-                );
-            }
+            let err = harness_modes_agree(&bench, &engine, &artifact, fuel)
+                .expect_err("budget chosen below the benchmark's run length");
+            assert!(matches!(err, Error::OutOfFuel { .. }), "{err}");
         }
     }
 }
 
 /// Profiled runs are pinned to the legacy loop so `wasmperf-trace`
 /// attribution stays exact per instruction — but their results must
-/// still match both optimized loops, and the profile must cover every
+/// still match the threaded loop, and the profile must cover every
 /// retired instruction and cycle.
 #[test]
 fn traced_legacy_run_matches_optimized_runs() {
@@ -250,19 +209,22 @@ fn traced_legacy_run_matches_optimized_runs() {
         run_one_traced(&bench, &engine, AppendPolicy::Chunked4K, config).expect("traced run");
 
     let artifact = prepare(&bench, &engine).expect("compiles");
-    for mode in FAST_MODES {
-        let fast = execute_with_mode(&bench, &engine, &artifact, AppendPolicy::Chunked4K, mode)
-            .expect("runs");
-        assert_eq!(traced, fast, "traced (legacy) vs {mode:?} diverged");
-        assert_eq!(
-            session
-                .as_ref()
-                .expect("tracing on")
-                .profile
-                .as_ref()
-                .expect("profile collected")
-                .total_instructions(),
-            fast.counters.instructions_retired
-        );
-    }
+    let fast = execute_with_mode(
+        &bench,
+        &engine,
+        &artifact,
+        AppendPolicy::Chunked4K,
+        ExecMode::Threaded,
+        DEFAULT_FUEL,
+    )
+    .expect("runs");
+    assert_eq!(traced, fast, "traced (legacy) vs threaded diverged");
+    assert_eq!(
+        session
+            .expect("tracing on")
+            .profile
+            .expect("profile collected")
+            .total_instructions(),
+        fast.counters.instructions_retired
+    );
 }
