@@ -125,3 +125,38 @@ fn emoji_roundtrip_both_forms() {
     assert_eq!(Json::parse(&v.render()).unwrap(), v);
     assert_eq!(Json::parse("\"\\ud83d\\ude00\"").unwrap(), v);
 }
+
+/// `depth` nested arrays (`obj`: objects) around a number, closed or
+/// (`closed == false`) left open.
+fn bracket_run(depth: usize, obj: bool, closed: bool) -> String {
+    let (open, close) = if obj { ("{\"k\":", "}") } else { ("[", "]") };
+    let mut text = open.repeat(depth) + "0";
+    if closed {
+        text += &close.repeat(depth);
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn parse_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        // Either Ok or Err — panics and stack overflows are bugs.
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn bracket_runs_parse_iff_within_the_depth_cap(
+        depth in 0usize..4096,
+        obj in any::<bool>(),
+        closed in any::<bool>(),
+    ) {
+        let parsed = Json::parse(&bracket_run(depth, obj, closed));
+        let max = wasmperf_farm::json::MAX_DEPTH;
+        prop_assert_eq!(parsed.is_ok(), closed && depth <= max);
+        if depth > max {
+            prop_assert!(parsed.unwrap_err().contains("nesting"));
+        }
+    }
+}

@@ -90,6 +90,22 @@ fn health_metrics_and_routing() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    // A million `[` would overflow an uncapped parser's stack on the
+    // connection thread, aborting the whole server, not just the request.
+    let (handle, addr) = serve(1, 8);
+    let mut c = Client::connect(&addr).unwrap();
+    let deep = "[".repeat(1_000_000);
+    assert_eq!(
+        c.request("POST", "/run", deep.as_bytes()).unwrap().status,
+        400
+    );
+    let mut c = Client::connect(&addr).unwrap();
+    assert_eq!(c.get("/healthz").unwrap().status, 200);
+    shutdown(handle, &addr);
+}
+
+#[test]
 fn run_results_are_byte_identical_to_direct_runs() {
     let (handle, addr) = serve(2, 8);
     let mut c = Client::connect(&addr).unwrap();

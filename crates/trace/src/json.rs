@@ -128,11 +128,12 @@ impl Json {
         }
     }
 
-    /// Parses JSON text. Rejects trailing garbage.
+    /// Parses JSON text. Rejects trailing garbage and arrays/objects
+    /// nested deeper than [`MAX_DEPTH`].
     pub fn parse(s: &str) -> Result<Json, String> {
         let bytes = s.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -175,8 +176,19 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, and the serving paths parse untrusted request
+/// bodies on threads with the default 2 MiB stack; without a cap one body
+/// of a million `[` overflows that stack, which aborts the whole process.
+/// Nothing this project writes nests deeper than a few levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -192,7 +204,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -217,7 +229,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -429,6 +441,24 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // Uncapped, a body of a million `[` overflows a default-size
+        // (2 MiB) thread stack, which aborts the process.
+        let deep = "[".repeat(1_000_000);
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&deep))
+            .unwrap()
+            .join()
+            .expect("parser thread survives");
+        assert!(res.unwrap_err().contains("nesting"));
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]
